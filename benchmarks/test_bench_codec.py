@@ -78,11 +78,11 @@ def test_bench_codec_drift_report(results_emitter):
     """Deterministic measured-vs-estimated report (``results/wire_drift.txt``).
 
     Since the epoch-2 re-baseline ``size_bytes()`` *is* the exact frame
-    length (``repro.core.wiresize``), so this report doubles as the
-    exhaustive equality gate: every registered kind — including the
-    post-epoch-1 additions ``MPromiseResync`` and ``MExecutedClock`` — must
-    show zero drift, or the arithmetic size model has diverged from the
-    codec.
+    length, derived from the same per-kind wire spec as the encoder, so
+    this report doubles as the exhaustive equality gate: every registered
+    kind — including the post-epoch-1 additions ``MPromiseResync`` and
+    ``MExecutedClock`` — must show zero drift, or a wire type's size
+    function has diverged from its writer.
     """
     samples = sample_messages()
     estimated = {}

@@ -266,8 +266,9 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
                         line=1,
                         code="codec-exhaustiveness",
                         message=(
-                            f"{obj.__name__} has no wire codec — register it in "
-                            "repro/wire/codecs.py (_REGISTRY_SPEC)"
+                            f"{obj.__name__} has no wire codec — declare its "
+                            "wire spec with @wire_message(<next free kind "
+                            "byte>, <field>=<wire type>, ...)"
                         ),
                     )
                 )
@@ -285,7 +286,7 @@ def codec_exhaustiveness_findings() -> List[LintFinding]:
         if cls not in sampled:
             findings.append(
                 LintFinding(
-                    path="repro/wire/codecs.py",
+                    path="repro/wire/samples.py",
                     line=1,
                     code="codec-exhaustiveness",
                     message=f"registered kind {cls.__name__} has no sample frame",

@@ -46,10 +46,9 @@ class ExperimentConfig:
             exclusive with the legacy ``crash_*`` knobs.
         measure_encoded_bytes: run every transmitted message through the
             ``repro.wire`` codec and record measured frame sizes in the
-            ``encoded_*`` stats next to the ``size_bytes()`` declarations
-            (default off; since the epoch-2 re-baseline ``size_bytes()``
-            matches the codec output byte-for-byte, so this is a zero-drift
-            cross-check, not a correction).
+            ``encoded_*`` stats next to the ``size_bytes()`` charges
+            (default off; both derive from the same wire specs, so this is
+            a zero-drift cross-check, not a correction).
         record_execution_trace: record every command execution (replica,
             identifier, keys, committed timestamp) plus client submit/reply
             windows, and run the :mod:`repro.analysis` consistency checks

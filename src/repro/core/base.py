@@ -238,11 +238,6 @@ class ProcessBase(abc.ABC):
             for message_type, count in self._message_counts.items()
         }
 
-    def messages_handled(self) -> int:
-        """Total messages handled, without materialising the per-kind view
-        (the monitor samples this per process on a fixed interval)."""
-        return sum(self._message_counts.values())
-
     # -- failure injection ------------------------------------------------------
 
     def crash(self) -> None:

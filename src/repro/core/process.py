@@ -48,17 +48,12 @@ from repro.core.phases import Phase
 from repro.core.promises import Promise, PromiseSet, PromiseTracker, RangeCollector
 from repro.core.quorums import QuorumSystem
 from repro.core.recovery import RecoveryMixin
-from repro.reliability import TRACKED_KIND_IDS
 
 ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 #: Phases in which a command's commit outcome may only be learnable through
 #: MCommitRequest (committed peers ignore MRec, §B.1).
 _RECOVERY_PHASES = frozenset({Phase.RECOVER_R, Phase.RECOVER_P})
-
-#: Wire kind bytes stamped into delivery acks for the tracked kinds.
-_ACK_KIND_MCOMMIT = TRACKED_KIND_IDS["MCommit"]
-_ACK_KIND_MSTABLE = TRACKED_KIND_IDS["MStable"]
 
 
 class TempoProcess(RecoveryMixin, ProcessBase):
@@ -649,7 +644,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
                 if sender in self.partition_peer_set()
                 else 0
             )
-            self._ack_delivery(sender, _ACK_KIND_MCOMMIT, dot, now, frontier)
+            self._ack_delivery(sender, MCommit.wire_spec.kind, dot, now, frontier)
         if self.gc is not None and self.gc.collected(dot):
             # Late duplicate (commit-request or resync reply) for a command
             # already globally executed: the piggybacked promises are still
@@ -1131,7 +1126,7 @@ class TempoProcess(RecoveryMixin, ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Cross-partition sender retransmits until acked; ack duplicates
             # too (our earlier ack may itself have been dropped).
-            self._ack_delivery(sender, _ACK_KIND_MSTABLE, message.dot, now)
+            self._ack_delivery(sender, MStable.wire_spec.kind, message.dot, now)
         if self.gc is not None and self.gc.collected(message.dot):
             return  # late duplicate of a globally-executed command
         record = self.info(message.dot)

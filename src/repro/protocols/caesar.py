@@ -44,14 +44,10 @@ from repro.protocols.dep_messages import (
     MCaesarPropose,
     MCaesarProposeAck,
 )
-from repro.reliability import TRACKED_KIND_IDS
 
 ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 Timestamp = Tuple[int, int]
-
-#: Wire kind byte stamped into delivery acks for MCaesarCommit.
-_ACK_KIND_MCAESARCOMMIT = TRACKED_KIND_IDS["MCaesarCommit"]
 
 
 @dataclass
@@ -347,7 +343,7 @@ class CaesarProcess(ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
-            self._ack_delivery(sender, _ACK_KIND_MCAESARCOMMIT, message.dot, now)
+            self._ack_delivery(sender, MCaesarCommit.wire_spec.kind, message.dot, now)
         if self.gc is not None and self.gc.collected(message.dot):
             return
         record = self.info(message.dot)

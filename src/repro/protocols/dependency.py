@@ -37,14 +37,10 @@ from repro.protocols.dep_messages import (
     MPreAcceptAck,
 )
 from repro.protocols.depgraph import DependencyGraphExecutor
-from repro.reliability import TRACKED_KIND_IDS
 
 ApplyFn = Callable[[Command], Optional[Dict[str, Optional[str]]]]
 
 _EMPTY_DEPS: FrozenSet[Dot] = frozenset()
-
-#: Wire kind byte stamped into delivery acks for MDepCommit.
-_ACK_KIND_MDEPCOMMIT = TRACKED_KIND_IDS["MDepCommit"]
 
 
 class KeyConflicts:
@@ -501,7 +497,7 @@ class DependencyProtocolProcess(ProcessBase):
         if self.reliability is not None and sender != self.process_id:
             # Ack before any dedup/GC early return: a duplicate usually
             # means our first ack was lost.
-            self._ack_delivery(sender, _ACK_KIND_MDEPCOMMIT, message.dot, now)
+            self._ack_delivery(sender, MDepCommit.wire_spec.kind, message.dot, now)
         if self.gc is not None and self.gc.collected(message.dot):
             return
         record = self.info(message.dot)

@@ -13,13 +13,13 @@ shares it.  See ``docs/reliable_delivery.md``.
 from repro.reliability.buffer import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_MAX_ATTEMPTS,
-    TRACKED_KIND_IDS,
+    TRACKED_KINDS,
     RetransmitBuffer,
 )
 
 __all__ = [
     "DEFAULT_BACKOFF_BASE_MS",
     "DEFAULT_MAX_ATTEMPTS",
-    "TRACKED_KIND_IDS",
+    "TRACKED_KINDS",
     "RetransmitBuffer",
 ]

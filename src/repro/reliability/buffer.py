@@ -30,19 +30,14 @@ Design constraints (see ``docs/reliable_delivery.md``):
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-#: Wire kind-byte of every tracked message class, mirrored from the
-#: ``repro.wire`` registry.  The reliability layer sits *below* the wire
-#: package in the import order (``repro.wire`` imports ``repro.core``,
-#: which imports this), so the ids are pinned here and cross-checked
-#: against ``repro.wire.TYPE_TO_KIND`` by ``tests/test_reliability``.
-TRACKED_KIND_IDS: Dict[str, int] = {
-    "MCommit": 5,
-    "MStable": 10,
-    "MDepCommit": 21,
-    "MCaesarCommit": 26,
-}
+#: Names of the message classes the buffer may track.  Entries are keyed by
+#: each class's wire kind byte (``wire_spec.kind``), the same id the
+#: receiver stamps into its ``MDeliveryAck``.
+TRACKED_KINDS: FrozenSet[str] = frozenset(
+    {"MCommit", "MStable", "MDepCommit", "MCaesarCommit"}
+)
 
 #: First re-send one recovery timeout after the original send — the same
 #: cadence as the MCommitRequest / MPromiseResync watchdogs, so a lost
@@ -124,13 +119,12 @@ class RetransmitBuffer:
         re-broadcast of the same message is not a fresh budget.
         """
         kind_name = type(message).__name__
-        try:
-            kind_id = TRACKED_KIND_IDS[kind_name]
-        except KeyError:
+        if kind_name not in TRACKED_KINDS:
             raise ValueError(
                 f"{kind_name} is not a tracked message kind "
-                f"(tracked: {sorted(TRACKED_KIND_IDS)})"
-            ) from None
+                f"(tracked: {sorted(TRACKED_KINDS)})"
+            )
+        kind_id = message.wire_spec.kind
         dot = message.dot
         added = 0
         next_due = now + self.backoff_base_ms

@@ -1,18 +1,19 @@
-"""Real wire format: per-kind binary codecs and framed byte transport.
+"""Real wire format: spec-driven binary codecs and framed byte transport.
 
 Every protocol message (Tempo's in :mod:`repro.core.messages`, the
-baselines' in :mod:`repro.protocols.dep_messages`) and the
-:class:`repro.core.base.MBatch` transport envelope has a registered binary
-codec with a ``decode(encode(m)) == m`` round-trip guarantee.  The
-simulator uses :func:`encoded_size` for measured byte accounting
+baselines' in :mod:`repro.protocols.dep_messages`) declares one wire spec
+with :func:`wire_message` — its kind byte and its fields with their
+:mod:`~repro.wire.fields` types — from which the encoder, the decoder and
+``Message.size_bytes()`` are all derived; the :class:`repro.core.base.MBatch`
+transport envelope nests inner frames.  The simulator charges
+``size_bytes()`` and can cross-check it against :func:`encoded_size`
 (``NetworkOptions.measure_encoded``), the asyncio runtime ships
 :func:`encode_frame` frames through its channels and stream transports,
-and the drift report compares the measured sizes against the historical
-``size_bytes()`` model.  See ``docs/wire_format.md``.
+and the drift report checks that the two sizes agree.  See
+``docs/wire_format.md``.
 """
 
 from repro.wire.codecs import (
-    KIND_TO_TYPE,
     TYPE_TO_KIND,
     decode,
     decode_frame,
@@ -21,6 +22,7 @@ from repro.wire.codecs import (
     encoded_size,
     has_codec,
     registered_types,
+    wire_message,
 )
 from repro.wire.drift import DRIFT_THRESHOLD, drift_rows, drifted_kinds
 from repro.wire.primitives import Reader, WireError, read_uvarint_prefix
@@ -28,7 +30,6 @@ from repro.wire.samples import sample_messages
 
 __all__ = [
     "DRIFT_THRESHOLD",
-    "KIND_TO_TYPE",
     "Reader",
     "TYPE_TO_KIND",
     "WireError",
@@ -43,4 +44,5 @@ __all__ = [
     "read_uvarint_prefix",
     "registered_types",
     "sample_messages",
+    "wire_message",
 ]

@@ -1,819 +1,150 @@
-"""Per-kind binary codecs for every protocol message.
+"""Spec-driven binary codecs for every protocol message.
 
-Each message kind gets a real encode/decode pair — ``decode(encode(m)) ==
-m`` for every registered kind — so byte accounting can be *measured* instead
-of modeled and the runtime can ship frames over real transports.
+Each message class declares its wire layout once, with :func:`wire_message`:
+its kind byte and its dataclass fields in declaration order, each paired
+with a :class:`~repro.wire.fields.WireType`.  One interpreter,
+:class:`WireSpec`, derives the encoder, the decoder and the exact frame size
+(``Message.size_bytes()``) from that spec, so ``decode(encode(m)) == m`` and
+``m.size_bytes() == encoded_size(m)`` hold for every kind by construction.
 
-Wire layout (see ``docs/wire_format.md`` for the per-kind field tables)::
+Wire layout (see ``docs/wire_format.md``)::
 
     frame   := uvarint(len(payload)) payload
     payload := kind_byte body
     body    := fields in dataclass order, dot first
 
-Integers are LEB128 varints: unsigned for structurally non-negative fields
-(dot components, counts, lengths, process/partition identifiers, promise
-timestamps) and zigzag-signed for protocol values that recovery or clients
-could drive negative (timestamps, ballots, sequences, slots, client ids).
-``Dot``s decode through :func:`repro.core.identifiers.intern_dot`, so the
-wire path shares the interned per-source tables with the rest of the
-system.  Collections are sorted on encode, which makes the encoding of a
-message *canonical*: equal messages produce identical bytes.
-
-The registry is keyed by message class — the same types the protocols'
-``_dispatch`` tables use — plus the :class:`repro.core.base.MBatch`
-transport envelope, which nests inner frames and may nest further batches.
+Message classes register themselves when they are defined, so this module
+never imports the message modules (they import it).  The
+:class:`repro.core.base.MBatch` transport envelope registers here as kind 0:
+a count-prefixed sequence of complete inner frames, which may nest further
+batches.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Mapping, Optional, Tuple
+import dataclasses
+from typing import Callable, Dict, Tuple
 
 from repro.core.base import MBatch
-from repro.core.commands import Command, KeyOp, OpKind
-from repro.core.identifiers import Dot, intern_dot
-from repro.core.messages import (
-    ClientReply,
-    ClientSubmit,
-    MBump,
-    MCommit,
-    MCommitRequest,
-    MConsensus,
-    MConsensusAck,
-    MDeliveryAck,
-    MExecutedClock,
-    MPayload,
-    MPromiseResync,
-    MPromises,
-    MPropose,
-    MProposeAck,
-    MRec,
-    MRecAck,
-    MRecNAck,
-    MStable,
-    MStableRequest,
-    MSubmit,
-)
-from repro.core.phases import Phase
-from repro.core.promises import Promise, PromiseRangeWire
-from repro.protocols.dep_messages import (
-    MAccept,
-    MAccepted,
-    MCaesarCommit,
-    MCaesarPropose,
-    MCaesarProposeAck,
-    MCaesarRetry,
-    MCaesarRetryAck,
-    MDecided,
-    MDepAccept,
-    MDepAcceptAck,
-    MDepCommit,
-    MForward,
-    MJanusDeps,
-    MPreAccept,
-    MPreAcceptAck,
-)
-from repro.wire.primitives import (
-    Reader,
-    WireError,
-    read_uvarint_prefix,
-    uvarint_size,
-    write_optional_string,
-    write_string,
-    write_svarint,
-    write_uvarint,
-)
-
-# -- field codecs ---------------------------------------------------------------
-
-#: Stable byte value per :class:`Phase` member (wire order, never reordered).
-_PHASE_TO_BYTE: Dict[Phase, int] = {
-    Phase.START: 0,
-    Phase.PAYLOAD: 1,
-    Phase.PROPOSE: 2,
-    Phase.RECOVER_R: 3,
-    Phase.RECOVER_P: 4,
-    Phase.COMMIT: 5,
-    Phase.EXECUTE: 6,
-}
-_BYTE_TO_PHASE: Dict[int, Phase] = {byte: phase for phase, byte in _PHASE_TO_BYTE.items()}
-
-
-def _write_dot(buf: bytearray, dot: Dot) -> None:
-    write_uvarint(buf, dot.source)
-    write_uvarint(buf, dot.sequence)
-
-
-def _read_dot(reader: Reader) -> Dot:
-    source = reader.read_uvarint()
-    sequence = reader.read_uvarint()
-    if sequence < 1:
-        raise WireError(f"dot sequence must be >= 1, got {sequence}")
-    return intern_dot(source, sequence)
-
-
-def _write_dot_set(buf: bytearray, dots: FrozenSet[Dot]) -> None:
-    write_uvarint(buf, len(dots))
-    for dot in sorted(dots):
-        _write_dot(buf, dot)
-
-
-def _read_dot_set(reader: Reader) -> FrozenSet[Dot]:
-    count = reader.read_uvarint()
-    return frozenset(_read_dot(reader) for _ in range(count))
-
-
-def _write_command(buf: bytearray, command: Command) -> None:
-    _write_dot(buf, command.dot)
-    write_uvarint(buf, len(command.ops))
-    for op in command.ops:
-        write_string(buf, op.key)
-        buf.append(1 if op.kind is OpKind.WRITE else 0)
-        write_optional_string(buf, op.value)
-    # The modeled application payload really rides the wire: size-many
-    # opaque bytes (zeros here; the simulator never inspects payloads).
-    write_uvarint(buf, command.payload_size)
-    buf += bytes(command.payload_size)
-    if command.client_id is None:
-        buf.append(0)
-    else:
-        buf.append(1)
-        write_svarint(buf, command.client_id)
-
-
-def _read_command(reader: Reader) -> Command:
-    dot = _read_dot(reader)
-    num_ops = reader.read_uvarint()
-    if num_ops == 0:
-        raise WireError("command with zero operations")
-    ops = []
-    for _ in range(num_ops):
-        key = reader.read_string()
-        kind_byte = reader.read_byte()
-        if kind_byte > 1:
-            raise WireError(f"invalid op-kind byte {kind_byte}")
-        value = reader.read_optional_string()
-        ops.append(
-            KeyOp(key=key, kind=OpKind.WRITE if kind_byte else OpKind.READ, value=value)
-        )
-    payload_size = reader.read_uvarint()
-    reader.skip(payload_size)
-    client_flag = reader.read_byte()
-    if client_flag > 1:
-        raise WireError(f"invalid client-id flag {client_flag}")
-    client_id = reader.read_svarint() if client_flag else None
-    return Command(
-        dot=dot, ops=tuple(ops), payload_size=payload_size, client_id=client_id
-    )
-
-
-def _write_quorums(buf: bytearray, quorums: Mapping[int, Tuple[int, ...]]) -> None:
-    write_uvarint(buf, len(quorums))
-    for partition in sorted(quorums):
-        write_uvarint(buf, partition)
-        members = quorums[partition]
-        write_uvarint(buf, len(members))
-        for member in members:
-            write_uvarint(buf, member)
-
-
-def _read_quorums(reader: Reader) -> Dict[int, Tuple[int, ...]]:
-    count = reader.read_uvarint()
-    quorums: Dict[int, Tuple[int, ...]] = {}
-    for _ in range(count):
-        partition = reader.read_uvarint()
-        members = reader.read_uvarint()
-        quorums[partition] = tuple(reader.read_uvarint() for _ in range(members))
-    return quorums
-
-
-def _write_promise_set(buf: bytearray, promises: FrozenSet[Promise]) -> None:
-    write_uvarint(buf, len(promises))
-    for promise in sorted(promises):
-        write_uvarint(buf, promise.process)
-        write_uvarint(buf, promise.timestamp)
-
-
-def _read_promise_set(reader: Reader) -> FrozenSet[Promise]:
-    count = reader.read_uvarint()
-    promises = []
-    for _ in range(count):
-        process = reader.read_uvarint()
-        timestamp = reader.read_uvarint()
-        if timestamp < 1:
-            raise WireError(f"promise timestamp must be >= 1, got {timestamp}")
-        promises.append(Promise(process, timestamp))
-    return frozenset(promises)
-
-
-def _write_range_wire(buf: bytearray, wire: PromiseRangeWire) -> None:
-    write_uvarint(buf, len(wire))
-    for process in sorted(wire):
-        spans = wire[process]
-        write_uvarint(buf, process)
-        write_uvarint(buf, len(spans))
-        for lo, hi in spans:
-            if hi < lo or lo < 1:
-                raise WireError(f"invalid promise range ({lo}, {hi})")
-            write_uvarint(buf, lo)
-            write_uvarint(buf, hi - lo)
-
-
-def _read_range_wire(reader: Reader) -> Dict[int, Tuple[Tuple[int, int], ...]]:
-    count = reader.read_uvarint()
-    wire: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-    for _ in range(count):
-        process = reader.read_uvarint()
-        num_spans = reader.read_uvarint()
-        spans = []
-        for _ in range(num_spans):
-            lo = reader.read_uvarint()
-            if lo < 1:
-                raise WireError(f"promise range starts at {lo}, must be >= 1")
-            width = reader.read_uvarint()
-            spans.append((lo, lo + width))
-        wire[process] = tuple(spans)
-    return wire
-
-
-def _write_attached_map(
-    buf: bytearray, attached: Mapping[Dot, FrozenSet[Promise]]
-) -> None:
-    write_uvarint(buf, len(attached))
-    for dot in sorted(attached):
-        _write_dot(buf, dot)
-        _write_promise_set(buf, attached[dot])
-
-
-def _read_attached_map(reader: Reader) -> Dict[Dot, FrozenSet[Promise]]:
-    count = reader.read_uvarint()
-    attached: Dict[Dot, FrozenSet[Promise]] = {}
-    for _ in range(count):
-        dot = _read_dot(reader)
-        attached[dot] = _read_promise_set(reader)
-    return attached
-
-
-def _write_result(buf: bytearray, result: Optional[Dict[str, Optional[str]]]) -> None:
-    if result is None:
-        buf.append(0)
-        return
-    buf.append(1)
-    write_uvarint(buf, len(result))
-    for key in sorted(result):
-        write_string(buf, key)
-        write_optional_string(buf, result[key])
-
-
-def _read_result(reader: Reader) -> Optional[Dict[str, Optional[str]]]:
-    flag = reader.read_byte()
-    if flag == 0:
-        return None
-    if flag != 1:
-        raise WireError(f"invalid result flag {flag}")
-    count = reader.read_uvarint()
-    result: Dict[str, Optional[str]] = {}
-    for _ in range(count):
-        key = reader.read_string()
-        result[key] = reader.read_optional_string()
-    return result
-
-
-def _write_phase(buf: bytearray, phase: Phase) -> None:
-    buf.append(_PHASE_TO_BYTE[phase])
-
-
-def _read_phase(reader: Reader) -> Phase:
-    byte = reader.read_byte()
-    phase = _BYTE_TO_PHASE.get(byte)
-    if phase is None:
-        raise WireError(f"unknown phase byte {byte}")
-    return phase
-
-
-def _write_ts_pair(buf: bytearray, timestamp: Tuple[int, int]) -> None:
-    write_svarint(buf, timestamp[0])
-    write_svarint(buf, timestamp[1])
-
-
-def _read_ts_pair(reader: Reader) -> Tuple[int, int]:
-    return (reader.read_svarint(), reader.read_svarint())
-
-
-# -- per-kind body codecs ---------------------------------------------------------
-#
-# Every body starts with the message's dot, then the remaining dataclass
-# fields in declaration order.
-
-
-def _enc_msubmit(buf, m: MSubmit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-
-
-def _dec_msubmit(r: Reader) -> MSubmit:
-    return MSubmit(_read_dot(r), _read_command(r), _read_quorums(r))
-
-
-def _enc_mpropose(buf, m: MPropose) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-    write_svarint(buf, m.timestamp)
-
-
-def _dec_mpropose(r: Reader) -> MPropose:
-    return MPropose(_read_dot(r), _read_command(r), _read_quorums(r), r.read_svarint())
-
-
-def _enc_mproposeack(buf, m: MProposeAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    _write_promise_set(buf, m.attached)
-    _write_range_wire(buf, m.detached)
-
-
-def _dec_mproposeack(r: Reader) -> MProposeAck:
-    return MProposeAck(
-        _read_dot(r), r.read_svarint(), _read_promise_set(r), _read_range_wire(r)
-    )
-
-
-def _enc_mpayload(buf, m: MPayload) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_quorums(buf, m.quorums)
-
-
-def _dec_mpayload(r: Reader) -> MPayload:
-    return MPayload(_read_dot(r), _read_command(r), _read_quorums(r))
-
-
-def _enc_mcommit(buf, m: MCommit) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    write_uvarint(buf, m.partition)
-    _write_promise_set(buf, m.attached)
-    _write_range_wire(buf, m.detached)
-
-
-def _dec_mcommit(r: Reader) -> MCommit:
-    return MCommit(
-        _read_dot(r),
-        r.read_svarint(),
-        r.read_uvarint(),
-        _read_promise_set(r),
-        _read_range_wire(r),
-    )
-
-
-def _enc_mconsensus(buf, m: MConsensus) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mconsensus(r: Reader) -> MConsensus:
-    return MConsensus(_read_dot(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_mconsensusack(buf, m: MConsensusAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mconsensusack(r: Reader) -> MConsensusAck:
-    return MConsensusAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mbump(buf, m: MBump) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-
-
-def _dec_mbump(r: Reader) -> MBump:
-    return MBump(_read_dot(r), r.read_svarint())
-
-
-def _enc_mpromises(buf, m: MPromises) -> None:
-    _write_dot(buf, m.dot)
-    _write_range_wire(buf, m.detached)
-    _write_attached_map(buf, m.attached)
-    _write_dot_set(buf, m.committed)
-
-
-def _dec_mpromises(r: Reader) -> MPromises:
-    return MPromises(
-        _read_dot(r), _read_range_wire(r), _read_attached_map(r), _read_dot_set(r)
-    )
-
-
-def _enc_mstable(buf, m: MStable) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.partition)
-
-
-def _dec_mstable(r: Reader) -> MStable:
-    return MStable(_read_dot(r), r.read_uvarint())
-
-
-def _enc_mrec(buf, m: MRec) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrec(r: Reader) -> MRec:
-    return MRec(_read_dot(r), r.read_svarint())
-
-
-def _enc_mrecack(buf, m: MRecAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.timestamp)
-    _write_phase(buf, m.phase)
-    write_svarint(buf, m.accepted_ballot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrecack(r: Reader) -> MRecAck:
-    return MRecAck(
-        _read_dot(r), r.read_svarint(), _read_phase(r), r.read_svarint(), r.read_svarint()
-    )
-
-
-def _enc_mrecnack(buf, m: MRecNAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mrecnack(r: Reader) -> MRecNAck:
-    return MRecNAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mcommitrequest(buf, m: MCommitRequest) -> None:
-    _write_dot(buf, m.dot)
-
-
-def _dec_mcommitrequest(r: Reader) -> MCommitRequest:
-    return MCommitRequest(_read_dot(r))
-
-
-def _enc_mpromiseresync(buf, m: MPromiseResync) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.frontier)
-
-
-def _dec_mpromiseresync(r: Reader) -> MPromiseResync:
-    return MPromiseResync(_read_dot(r), frontier=r.read_uvarint())
-
-
-def _enc_mexecutedclock(buf, m: MExecutedClock) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, len(m.clock))
-    for source in sorted(m.clock):
-        write_uvarint(buf, source)
-        write_uvarint(buf, m.clock[source])
-
-
-def _dec_mexecutedclock(r: Reader) -> MExecutedClock:
-    dot = _read_dot(r)
-    count = r.read_uvarint()
-    clock = {}
-    for _ in range(count):
-        source = r.read_uvarint()
-        clock[source] = r.read_uvarint()
-    return MExecutedClock(dot, clock=clock)
-
-
-def _enc_mdeliveryack(buf, m: MDeliveryAck) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.kind_id)
-    write_uvarint(buf, m.epoch)
-    write_uvarint(buf, m.frontier)
-
-
-def _dec_mdeliveryack(r: Reader) -> MDeliveryAck:
-    return MDeliveryAck(
-        _read_dot(r),
-        kind_id=r.read_uvarint(),
-        epoch=r.read_uvarint(),
-        frontier=r.read_uvarint(),
-    )
-
-
-def _enc_mstablerequest(buf, m: MStableRequest) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.partition)
-
-
-def _dec_mstablerequest(r: Reader) -> MStableRequest:
-    return MStableRequest(_read_dot(r), r.read_uvarint())
-
-
-def _enc_clientsubmit(buf, m: ClientSubmit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-
-
-def _dec_clientsubmit(r: Reader) -> ClientSubmit:
-    return ClientSubmit(_read_dot(r), _read_command(r))
-
-
-def _enc_clientreply(buf, m: ClientReply) -> None:
-    _write_dot(buf, m.dot)
-    _write_result(buf, m.result)
-
-
-def _dec_clientreply(r: Reader) -> ClientReply:
-    return ClientReply(_read_dot(r), _read_result(r))
-
-
-def _enc_mpreaccept(buf, m: MPreAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-
-
-def _dec_mpreaccept(r: Reader) -> MPreAccept:
-    return MPreAccept(_read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint())
-
-
-def _enc_mpreacceptack(buf, m: MPreAcceptAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-
-
-def _dec_mpreacceptack(r: Reader) -> MPreAcceptAck:
-    return MPreAcceptAck(_read_dot(r), _read_dot_set(r), r.read_svarint())
-
-
-def _enc_mdepaccept(buf, m: MDepAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mdepaccept(r: Reader) -> MDepAccept:
-    return MDepAccept(
-        _read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint(), r.read_svarint()
-    )
-
-
-def _enc_mdepacceptack(buf, m: MDepAcceptAck) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_mdepacceptack(r: Reader) -> MDepAcceptAck:
-    return MDepAcceptAck(_read_dot(r), r.read_svarint())
-
-
-def _enc_mdepcommit(buf, m: MDepCommit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_dot_set(buf, m.dependencies)
-    write_svarint(buf, m.sequence)
-    write_uvarint(buf, m.shard)
-
-
-def _dec_mdepcommit(r: Reader) -> MDepCommit:
-    return MDepCommit(
-        _read_dot(r), _read_command(r), _read_dot_set(r), r.read_svarint(), r.read_uvarint()
-    )
-
-
-def _enc_mcaesarpropose(buf, m: MCaesarPropose) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-
-
-def _dec_mcaesarpropose(r: Reader) -> MCaesarPropose:
-    return MCaesarPropose(_read_dot(r), _read_command(r), _read_ts_pair(r))
-
-
-def _enc_mcaesarproposeack(buf, m: MCaesarProposeAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-    buf.append(1 if m.accepted else 0)
-
-
-def _dec_mcaesarproposeack(r: Reader) -> MCaesarProposeAck:
-    return MCaesarProposeAck(
-        _read_dot(r), _read_ts_pair(r), _read_dot_set(r), r.read_bool()
-    )
-
-
-def _enc_mcaesarretry(buf, m: MCaesarRetry) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarretry(r: Reader) -> MCaesarRetry:
-    return MCaesarRetry(_read_dot(r), _read_command(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mcaesarretryack(buf, m: MCaesarRetryAck) -> None:
-    _write_dot(buf, m.dot)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarretryack(r: Reader) -> MCaesarRetryAck:
-    return MCaesarRetryAck(_read_dot(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mcaesarcommit(buf, m: MCaesarCommit) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    _write_ts_pair(buf, m.timestamp)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mcaesarcommit(r: Reader) -> MCaesarCommit:
-    return MCaesarCommit(_read_dot(r), _read_command(r), _read_ts_pair(r), _read_dot_set(r))
-
-
-def _enc_mforward(buf, m: MForward) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-
-
-def _dec_mforward(r: Reader) -> MForward:
-    return MForward(_read_dot(r), _read_command(r))
-
-
-def _enc_maccept(buf, m: MAccept) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    write_svarint(buf, m.slot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_maccept(r: Reader) -> MAccept:
-    return MAccept(_read_dot(r), _read_command(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_maccepted(buf, m: MAccepted) -> None:
-    _write_dot(buf, m.dot)
-    write_svarint(buf, m.slot)
-    write_svarint(buf, m.ballot)
-
-
-def _dec_maccepted(r: Reader) -> MAccepted:
-    return MAccepted(_read_dot(r), r.read_svarint(), r.read_svarint())
-
-
-def _enc_mdecided(buf, m: MDecided) -> None:
-    _write_dot(buf, m.dot)
-    _write_command(buf, m.command)
-    write_svarint(buf, m.slot)
-
-
-def _dec_mdecided(r: Reader) -> MDecided:
-    return MDecided(_read_dot(r), _read_command(r), r.read_svarint())
-
-
-def _enc_mjanusdeps(buf, m: MJanusDeps) -> None:
-    _write_dot(buf, m.dot)
-    write_uvarint(buf, m.shard)
-    _write_dot_set(buf, m.dependencies)
-
-
-def _dec_mjanusdeps(r: Reader) -> MJanusDeps:
-    return MJanusDeps(_read_dot(r), r.read_uvarint(), _read_dot_set(r))
-
-
-def _enc_mbatch(buf, m: MBatch) -> None:
-    write_uvarint(buf, len(m.messages))
-    for inner in m.messages:
-        _encode_frame_into(buf, inner)
-
-
-def _dec_mbatch(r: Reader) -> MBatch:
-    count = r.read_uvarint()
-    return MBatch(tuple(_decode_frame_from(r) for _ in range(count)))
-
-
-# -- registry ---------------------------------------------------------------------
-
-#: Stable kind-byte assignments; append-only, never reorder (the byte is the
-#: on-wire dispatch key).
-_REGISTRY_SPEC: Tuple[Tuple[int, type, Callable, Callable], ...] = (
-    (0, MBatch, _enc_mbatch, _dec_mbatch),
-    (1, MSubmit, _enc_msubmit, _dec_msubmit),
-    (2, MPropose, _enc_mpropose, _dec_mpropose),
-    (3, MProposeAck, _enc_mproposeack, _dec_mproposeack),
-    (4, MPayload, _enc_mpayload, _dec_mpayload),
-    (5, MCommit, _enc_mcommit, _dec_mcommit),
-    (6, MConsensus, _enc_mconsensus, _dec_mconsensus),
-    (7, MConsensusAck, _enc_mconsensusack, _dec_mconsensusack),
-    (8, MBump, _enc_mbump, _dec_mbump),
-    (9, MPromises, _enc_mpromises, _dec_mpromises),
-    (10, MStable, _enc_mstable, _dec_mstable),
-    (11, MRec, _enc_mrec, _dec_mrec),
-    (12, MRecAck, _enc_mrecack, _dec_mrecack),
-    (13, MRecNAck, _enc_mrecnack, _dec_mrecnack),
-    (14, MCommitRequest, _enc_mcommitrequest, _dec_mcommitrequest),
-    (15, ClientSubmit, _enc_clientsubmit, _dec_clientsubmit),
-    (16, ClientReply, _enc_clientreply, _dec_clientreply),
-    (17, MPreAccept, _enc_mpreaccept, _dec_mpreaccept),
-    (18, MPreAcceptAck, _enc_mpreacceptack, _dec_mpreacceptack),
-    (19, MDepAccept, _enc_mdepaccept, _dec_mdepaccept),
-    (20, MDepAcceptAck, _enc_mdepacceptack, _dec_mdepacceptack),
-    (21, MDepCommit, _enc_mdepcommit, _dec_mdepcommit),
-    (22, MCaesarPropose, _enc_mcaesarpropose, _dec_mcaesarpropose),
-    (23, MCaesarProposeAck, _enc_mcaesarproposeack, _dec_mcaesarproposeack),
-    (24, MCaesarRetry, _enc_mcaesarretry, _dec_mcaesarretry),
-    (25, MCaesarRetryAck, _enc_mcaesarretryack, _dec_mcaesarretryack),
-    (26, MCaesarCommit, _enc_mcaesarcommit, _dec_mcaesarcommit),
-    (27, MForward, _enc_mforward, _dec_mforward),
-    (28, MAccept, _enc_maccept, _dec_maccept),
-    (29, MAccepted, _enc_maccepted, _dec_maccepted),
-    (30, MDecided, _enc_mdecided, _dec_mdecided),
-    (31, MJanusDeps, _enc_mjanusdeps, _dec_mjanusdeps),
-    (32, MPromiseResync, _enc_mpromiseresync, _dec_mpromiseresync),
-    (33, MExecutedClock, _enc_mexecutedclock, _dec_mexecutedclock),
-    (34, MDeliveryAck, _enc_mdeliveryack, _dec_mdeliveryack),
-    (35, MStableRequest, _enc_mstablerequest, _dec_mstablerequest),
-)
-
-#: Message class -> (kind byte, body encoder); the class keys mirror the
-#: protocols' type-keyed ``_dispatch`` tables.
-_ENCODERS: Dict[type, Tuple[int, Callable]] = {}
-#: Kind byte -> body decoder.
-_DECODERS: Dict[int, Callable[[Reader], object]] = {}
-#: Kind byte -> message class (introspection/tests).
-KIND_TO_TYPE: Dict[int, type] = {}
+from repro.wire.fields import DOT, WireType
+from repro.wire.primitives import Reader, WireError, uvarint_size, write_uvarint
+
+
+class WireSpec:
+    """One registered kind: its class, kind byte and ``(field, type)`` list."""
+
+    __slots__ = ("cls", "kind", "_writers", "_readers", "_sizers")
+
+    def __init__(
+        self, cls: type, kind: int, fields: Tuple[Tuple[str, WireType], ...]
+    ) -> None:
+        self.cls = cls
+        self.kind = kind
+        self._writers = tuple((name, wire_type.write) for name, wire_type in fields)
+        self._readers = tuple(wire_type.read for _, wire_type in fields)
+        self._sizers = tuple((name, wire_type.size) for name, wire_type in fields)
+
+    def write(self, buf: bytearray, message: object) -> None:
+        """Append the message body (no kind byte)."""
+        for name, write in self._writers:
+            write(buf, getattr(message, name))
+
+    def read(self, reader: Reader) -> object:
+        """Decode one body into a new instance."""
+        return self.cls(*[read(reader) for read in self._readers])
+
+    def size(self, message: object) -> int:
+        """Bytes of the full frame: length prefix, kind byte and body."""
+        payload = 1
+        for name, size in self._sizers:
+            payload += size(getattr(message, name))
+        return uvarint_size(payload) + payload
+
+
+#: Message class -> spec; the class keys mirror the protocols' type-keyed
+#: ``_dispatch`` tables.
+_SPECS: Dict[type, WireSpec] = {}
+#: Kind byte -> spec (the decoder's dispatch key).
+_KINDS: Dict[int, WireSpec] = {}
 #: Message class -> kind byte.
 TYPE_TO_KIND: Dict[type, int] = {}
 
-for _kind_id, _cls, _enc, _dec in _REGISTRY_SPEC:
-    if not 0 <= _kind_id <= 0xFF:
-        raise RuntimeError(f"kind byte {_kind_id} out of range")
-    if _kind_id in _DECODERS or _cls in _ENCODERS:
-        raise RuntimeError(f"duplicate codec registration: {_kind_id} / {_cls.__name__}")
-    _ENCODERS[_cls] = (_kind_id, _enc)
-    _DECODERS[_kind_id] = _dec
-    KIND_TO_TYPE[_kind_id] = _cls
-    TYPE_TO_KIND[_cls] = _kind_id
+
+def _register(
+    cls: type, kind: int, fields: Tuple[Tuple[str, WireType], ...]
+) -> WireSpec:
+    if not 0 <= kind <= 0xFF:
+        raise ValueError(f"kind byte {kind} out of range")
+    if kind in _KINDS or cls in _SPECS:
+        raise ValueError(f"duplicate codec registration: {kind} / {cls.__name__}")
+    spec = WireSpec(cls, kind, fields)
+    _SPECS[cls] = spec
+    _KINDS[kind] = spec
+    TYPE_TO_KIND[cls] = kind
+    return spec
+
+
+def wire_message(kind: int, **fields: WireType) -> Callable[[type], type]:
+    """Class decorator registering a message dataclass's wire spec.
+
+    ``kind`` is the class's kind byte: append-only, never reused or
+    renumbered, because it is the on-wire dispatch key.  ``fields`` names
+    every dataclass field after the inherited ``dot`` (which is always
+    encoded first, as a :data:`~repro.wire.fields.DOT`), in declaration
+    order.  A spec that omits, adds or reorders a field is rejected, so a
+    field can never be silently dropped from the frame.  The spec is
+    stored on the class as ``wire_spec``.
+    """
+    spec_fields = (("dot", DOT),) + tuple(fields.items())
+
+    def register(cls: type) -> type:
+        declared = tuple(field.name for field in dataclasses.fields(cls))
+        listed = tuple(name for name, _ in spec_fields)
+        if declared != listed:
+            raise TypeError(
+                f"{cls.__name__}: wire spec fields {listed} differ from the "
+                f"dataclass fields {declared}"
+            )
+        cls.wire_spec = _register(cls, kind, spec_fields)
+        return cls
+
+    return register
 
 
 def registered_types() -> Tuple[type, ...]:
     """Every message class with a codec, in kind-byte order."""
-    return tuple(KIND_TO_TYPE[kind] for kind in sorted(KIND_TO_TYPE))
+    return tuple(_KINDS[kind].cls for kind in sorted(_KINDS))
 
 
 def has_codec(message_type: type) -> bool:
     """Whether ``message_type`` has a registered codec."""
-    return message_type in _ENCODERS
+    return message_type in _SPECS
 
 
 # -- public encode/decode -----------------------------------------------------------
 
 
-def encode(message: object) -> bytes:
-    """Encode one message as ``kind_byte + body`` (no length prefix)."""
-    entry = _ENCODERS.get(message.__class__)
-    if entry is None:
+def _encode_payload(message: object) -> bytearray:
+    spec = _SPECS.get(message.__class__)
+    if spec is None:
         raise WireError(f"no codec registered for {message.__class__.__name__}")
-    kind_id, encoder = entry
-    buf = bytearray((kind_id,))
-    encoder(buf, message)
-    return bytes(buf)
-
-
-def decode(data: bytes) -> object:
-    """Decode one ``kind_byte + body`` payload; rejects trailing garbage."""
-    reader = Reader(data)
-    message = _decode_payload(reader)
-    reader.expect_end("payload")
-    return message
+    buf = bytearray((spec.kind,))
+    spec.write(buf, message)
+    return buf
 
 
 def _decode_payload(reader: Reader) -> object:
-    kind_id = reader.read_byte()
-    decoder = _DECODERS.get(kind_id)
-    if decoder is None:
-        raise WireError(f"unknown message kind byte {kind_id}")
-    return decoder(reader)
+    kind = reader.read_byte()
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise WireError(f"unknown message kind byte {kind}")
+    return spec.read(reader)
 
 
 def _encode_frame_into(buf: bytearray, message: object) -> None:
-    entry = _ENCODERS.get(message.__class__)
-    if entry is None:
-        raise WireError(f"no codec registered for {message.__class__.__name__}")
-    kind_id, encoder = entry
-    body = bytearray((kind_id,))
-    encoder(body, message)
-    write_uvarint(buf, len(body))
-    buf += body
+    payload = _encode_payload(message)
+    write_uvarint(buf, len(payload))
+    buf += payload
 
 
 def _decode_frame_from(reader: Reader) -> object:
@@ -821,6 +152,19 @@ def _decode_frame_from(reader: Reader) -> object:
     payload = reader.sub_reader(length)
     message = _decode_payload(payload)
     payload.expect_end("frame")
+    return message
+
+
+def encode(message: object) -> bytes:
+    """Encode one message as ``kind_byte + body`` (no length prefix)."""
+    return bytes(_encode_payload(message))
+
+
+def decode(data: bytes) -> object:
+    """Decode one ``kind_byte + body`` payload; rejects trailing garbage."""
+    reader = Reader(data)
+    message = _decode_payload(reader)
+    reader.expect_end("payload")
     return message
 
 
@@ -840,19 +184,28 @@ def decode_frame(data: bytes, offset: int = 0) -> Tuple[object, int]:
 
 def encoded_size(message: object) -> int:
     """Measured wire size of ``message``: the full frame, prefix included."""
-    payload = encode(message)
+    payload = _encode_payload(message)
     return uvarint_size(len(payload)) + len(payload)
 
 
-__all__ = [
-    "KIND_TO_TYPE",
-    "TYPE_TO_KIND",
-    "decode",
-    "decode_frame",
-    "encode",
-    "encode_frame",
-    "encoded_size",
-    "has_codec",
-    "read_uvarint_prefix",
-    "registered_types",
-]
+# -- the MBatch envelope: uvarint(count) + complete inner frames --------------------
+
+
+def _write_frames(buf: bytearray, messages: Tuple[object, ...]) -> None:
+    write_uvarint(buf, len(messages))
+    for inner in messages:
+        _encode_frame_into(buf, inner)
+
+
+def _read_frames(reader: Reader) -> Tuple[object, ...]:
+    count = reader.read_uvarint()
+    return tuple(_decode_frame_from(reader) for _ in range(count))
+
+
+def _frames_size(messages: Tuple[object, ...]) -> int:
+    return uvarint_size(len(messages)) + sum(map(encoded_size, messages))
+
+
+_register(
+    MBatch, 0, (("messages", WireType(_write_frames, _read_frames, _frames_size)),)
+)

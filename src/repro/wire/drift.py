@@ -2,15 +2,12 @@
 
 Epoch 1 shipped ``Message.size_bytes()`` as a byte *model* (24-byte header
 plus field estimates) while the wire codecs produced the *measured* frame
-size; the two disagreed for most kinds and this report tracked the gap.
-Since the epoch-2 re-baseline, ``size_bytes()`` computes the exact encoded
-frame size (it mirrors the ``repro.wire`` codecs byte-for-byte), the golden
-``results/*.txt`` files are frozen against the measured sizes, and the
-report's job inverted: ``results/wire_drift.txt`` must show zero drift for
-every kind, and any row beyond :data:`DRIFT_THRESHOLD` — or any nonzero
-drift, per the tests — means the declared size and the codec have fallen
-out of sync (e.g. a codec change without the matching ``size_bytes()``
-update).
+size, and this report tracked the gap.  Since the epoch-2 re-baseline the
+golden ``results/*.txt`` files charge the measured sizes, and
+``size_bytes()`` and the codec now derive from one wire spec per kind, so
+``results/wire_drift.txt`` must show zero drift for every kind: any row
+beyond :data:`DRIFT_THRESHOLD` — or any nonzero drift, per the tests —
+means the size derivation and the encoder disagree.
 """
 
 from __future__ import annotations

@@ -62,15 +62,34 @@ def write_optional_string(buf: bytearray, value: Optional[str]) -> None:
         write_string(buf, value)
 
 
+# -- sizing -------------------------------------------------------------------
+#
+# Each ``*_size`` returns the bytes the matching ``write_*`` appends.  Sizing
+# runs once per simulated message, so it does not re-validate what the
+# writer rejects.
+
+
 def uvarint_size(value: int) -> int:
     """Encoded width of ``value`` as an unsigned varint, in bytes."""
-    if value < 0:
-        raise WireError(f"cannot encode negative value {value} as uvarint")
-    size = 1
-    while value >= 0x80:
-        value >>= 7
-        size += 1
-    return size
+    if value < 0x80:
+        return 1
+    return (value.bit_length() + 6) // 7
+
+
+def svarint_size(value: int) -> int:
+    """Encoded width of ``value`` as a zigzag signed varint, in bytes."""
+    return uvarint_size((value << 1) ^ (value >> 63))
+
+
+def string_size(value: str) -> int:
+    """Encoded width of a length-prefixed UTF-8 string."""
+    length = len(value.encode("utf-8"))
+    return uvarint_size(length) + length
+
+
+def optional_string_size(value: Optional[str]) -> int:
+    """Encoded width of a presence byte plus the string when present."""
+    return 1 if value is None else 1 + string_size(value)
 
 
 # -- decoding -----------------------------------------------------------------

@@ -3,9 +3,8 @@
 Shared by the round-trip tests, the codec microbenchmark and the drift
 report: the samples are deliberately *representative* of the traffic the
 fig5/fig6 experiments generate (100-byte payloads, single-partition fast
-quorums, a couple of dependencies / piggybacked promises), so measuring
-their encoded size against ``size_bytes()`` says something about the byte
-accounting of the real runs.
+quorums, a couple of dependencies / piggybacked promises), so their frame
+sizes say something about the byte accounting of the real runs.
 
 Everything here is deterministic — same instances, same bytes, every call —
 which is what lets ``results/wire_drift.txt`` be a committed golden file.
@@ -15,50 +14,10 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.core.base import MBatch
 from repro.core.commands import Command
 from repro.core.identifiers import Dot, intern_dot
-from repro.core.messages import (
-    ClientReply,
-    ClientSubmit,
-    MBump,
-    MCommit,
-    MCommitRequest,
-    MConsensus,
-    MConsensusAck,
-    MDeliveryAck,
-    MExecutedClock,
-    MPayload,
-    MPromiseResync,
-    MPromises,
-    MPropose,
-    MProposeAck,
-    MRec,
-    MRecAck,
-    MRecNAck,
-    MStable,
-    MStableRequest,
-    MSubmit,
-)
 from repro.core.phases import Phase
 from repro.core.promises import Promise
-from repro.protocols.dep_messages import (
-    MAccept,
-    MAccepted,
-    MCaesarCommit,
-    MCaesarPropose,
-    MCaesarProposeAck,
-    MCaesarRetry,
-    MCaesarRetryAck,
-    MDecided,
-    MDepAccept,
-    MDepAcceptAck,
-    MDepCommit,
-    MForward,
-    MJanusDeps,
-    MPreAccept,
-    MPreAcceptAck,
-)
 
 
 def _dot(source: int = 2, sequence: int = 37) -> Dot:
@@ -71,6 +30,49 @@ def _command(payload_size: int = 100) -> Command:
 
 def sample_messages(payload_size: int = 100) -> Dict[str, object]:
     """One representative instance per registered kind, keyed by kind name."""
+    # The message modules import repro.wire to register their specs, so
+    # they are imported here, at call time, rather than at module load.
+    from repro.core.base import MBatch
+    from repro.core.messages import (
+        ClientReply,
+        ClientSubmit,
+        MBump,
+        MCommit,
+        MCommitRequest,
+        MConsensus,
+        MConsensusAck,
+        MDeliveryAck,
+        MExecutedClock,
+        MPayload,
+        MPromiseResync,
+        MPromises,
+        MPropose,
+        MProposeAck,
+        MRec,
+        MRecAck,
+        MRecNAck,
+        MStable,
+        MStableRequest,
+        MSubmit,
+    )
+    from repro.protocols.dep_messages import (
+        MAccept,
+        MAccepted,
+        MCaesarCommit,
+        MCaesarPropose,
+        MCaesarProposeAck,
+        MCaesarRetry,
+        MCaesarRetryAck,
+        MDecided,
+        MDepAccept,
+        MDepAcceptAck,
+        MDepCommit,
+        MForward,
+        MJanusDeps,
+        MPreAccept,
+        MPreAcceptAck,
+    )
+
     dot = _dot()
     command = _command(payload_size)
     quorums: Dict[int, Tuple[int, ...]] = {0: (0, 2, 3)}

@@ -20,6 +20,7 @@ not leak outside ``repro/wire/`` — mirrors ``test_scheduler_api.py``.
 from __future__ import annotations
 
 import inspect
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,9 @@ from repro.wire import (
     has_codec,
     registered_types,
     sample_messages,
+    wire_message,
 )
+from repro.wire.fields import SVARINT
 
 def _message_classes():
     """Every concrete Message subclass defined in the two message modules."""
@@ -76,8 +79,8 @@ class TestExhaustiveness:
             cls.__name__ for cls in _message_classes() if not has_codec(cls)
         ]
         assert not missing, (
-            f"message kinds without a wire codec: {missing} — register them "
-            "in repro/wire/codecs.py (_REGISTRY_SPEC) and add a sample"
+            f"message kinds without a wire codec: {missing} — declare their "
+            "wire spec with @wire_message and add a sample"
         )
 
     def test_batch_envelope_has_a_codec(self):
@@ -116,6 +119,39 @@ class TestExhaustiveness:
         from repro.analysis.lint import codec_exhaustiveness_findings
 
         assert not [str(finding) for finding in codec_exhaustiveness_findings()]
+
+
+class TestSpecRegistration:
+    def test_spec_must_name_the_dataclass_fields_in_order(self):
+        # A field without a wire entry would otherwise be silently dropped
+        # from every frame; a reordered spec would swap fields on decode.
+        with pytest.raises(TypeError, match="differ from the dataclass fields"):
+
+            @wire_message(200, ballot=SVARINT)
+            @dataclass(frozen=True)
+            class MUnlisted(Message):
+                ballot: int
+                extra: int = 0
+
+        with pytest.raises(TypeError, match="differ from the dataclass fields"):
+
+            @wire_message(200, slot=SVARINT, ballot=SVARINT)
+            @dataclass(frozen=True)
+            class MReordered(Message):
+                ballot: int
+                slot: int
+
+        assert 200 not in TYPE_TO_KIND.values()
+
+    def test_kind_bytes_cannot_be_reused(self):
+        with pytest.raises(ValueError, match="duplicate codec registration"):
+
+            @wire_message(TYPE_TO_KIND[MBump], timestamp=SVARINT)
+            @dataclass(frozen=True)
+            class MBumpTwin(Message):
+                timestamp: int
+
+        assert len(TYPE_TO_KIND) == 36
 
 
 class TestRoundTrip:

@@ -13,12 +13,12 @@ from __future__ import annotations
 from repro.core.commands import Partitioner
 from repro.core.config import ProtocolConfig
 from repro.core.identifiers import Dot
-from repro.core.messages import MDeliveryAck
+from repro.core.messages import MCommit, MDeliveryAck
 from repro.core.process import TempoProcess
-from repro.reliability import TRACKED_KIND_IDS, RetransmitBuffer
+from repro.reliability import RetransmitBuffer
 from repro.simulator.inline import InlineNetwork
 
-COMMIT_KIND = TRACKED_KIND_IDS["MCommit"]
+COMMIT_KIND = MCommit.wire_spec.kind
 
 
 def _cluster(enable_reliability=True):

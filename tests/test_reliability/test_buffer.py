@@ -10,32 +10,33 @@ from repro.protocols.dep_messages import MCaesarCommit, MDepCommit
 from repro.reliability import (
     DEFAULT_BACKOFF_BASE_MS,
     DEFAULT_MAX_ATTEMPTS,
-    TRACKED_KIND_IDS,
+    TRACKED_KINDS,
     RetransmitBuffer,
 )
-from repro.wire import TYPE_TO_KIND
+from repro.wire import TYPE_TO_KIND, sample_messages
+
+TRACKED_TYPES = (MCommit, MStable, MDepCommit, MCaesarCommit)
 
 
 class TestTrackedKindPins:
+    """The buffer keys entries by the kind byte of the message's wire spec."""
+
     def test_tracked_kind_ids_match_the_wire_registry(self):
-        # The reliability package sits below repro.wire in the import
-        # order, so it pins the kind bytes; they must stay in lockstep
-        # with the registry (which is append-only).
-        for type_, kind in TYPE_TO_KIND.items():
-            if type_.__name__ in TRACKED_KIND_IDS:
-                assert TRACKED_KIND_IDS[type_.__name__] == kind
+        samples = sample_messages()
+        for type_ in TRACKED_TYPES:
+            buffer = RetransmitBuffer(0)
+            message = samples[type_.__name__]
+            buffer.track([1], message, now=0.0)
+            assert list(buffer.pending_keys()) == [
+                (1, TYPE_TO_KIND[type_], message.dot)
+            ]
 
     def test_every_tracked_kind_is_registered(self):
         registered = {type_.__name__ for type_ in TYPE_TO_KIND}
-        assert set(TRACKED_KIND_IDS) <= registered
+        assert TRACKED_KINDS <= registered
 
     def test_tracked_set_is_exactly_the_critical_commit_and_stable_kinds(self):
-        assert set(TRACKED_KIND_IDS) == {
-            MCommit.__name__,
-            MStable.__name__,
-            MDepCommit.__name__,
-            MCaesarCommit.__name__,
-        }
+        assert TRACKED_KINDS == {type_.__name__ for type_ in TRACKED_TYPES}
 
 
 class TestTrack:
@@ -82,7 +83,7 @@ class TestAcks:
 
     def test_ack_retires_exactly_one_destination(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.wire_spec.kind
         assert buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert buffer.pending() == 1
         assert (1, kind, commit.dot) not in buffer.pending_keys()
@@ -90,19 +91,19 @@ class TestAcks:
 
     def test_duplicate_ack_is_harmless(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.wire_spec.kind
         assert buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert not buffer.record_ack(1, kind, commit.dot, epoch=0)
         assert buffer.stats()["acked"] == 1
 
     def test_stale_epoch_acks_are_ignored(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.wire_spec.kind
         # Peer 1 restarts into epoch 2; a late ack from epoch 1 must not
         # retire an entry re-tracked afterwards.
         assert buffer.record_ack(1, kind, commit.dot, epoch=2)
         buffer.track([1], MStable(commit.dot, partition=0), now=0.0)
-        stable_kind = TRACKED_KIND_IDS["MStable"]
+        stable_kind = MStable.wire_spec.kind
         assert not buffer.record_ack(1, stable_kind, commit.dot, epoch=1)
         assert buffer.stats()["stale_acks"] == 1
         assert (1, stable_kind, commit.dot) in buffer.pending_keys()
@@ -111,7 +112,7 @@ class TestAcks:
 
     def test_acked_entries_are_never_resent(self):
         buffer, commit = self._tracked()
-        kind = TRACKED_KIND_IDS["MCommit"]
+        kind = MCommit.wire_spec.kind
         buffer.record_ack(1, kind, commit.dot, epoch=0)
         buffer.record_ack(2, kind, commit.dot, epoch=0)
         assert buffer.due(1e9) == []
